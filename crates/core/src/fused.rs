@@ -23,6 +23,7 @@
 //! [`FusedConvPool::with_divide`]) and within rounding noise at `f32`.
 
 use mlcnn_tensor::conv::conv2d_direct;
+use mlcnn_tensor::linalg::matmul_rows_into;
 use mlcnn_tensor::pool::{avg_pool2d, sum_pool2d};
 use mlcnn_tensor::{Result, Scalar, Shape4, Tensor, TensorError};
 use rayon::prelude::*;
@@ -94,11 +95,37 @@ impl FusedGeometry {
             out_w: (conv_w - pool) / pool + 1,
         })
     }
+
+    /// Block-sum plane `G` extent `(g_h, g_w)`: the padded input minus the
+    /// pool window's span `(p − 1)·S` in each direction.
+    fn g_dims(&self) -> (usize, usize) {
+        let span = (self.pool - 1) * self.conv_stride;
+        (
+            self.in_h + 2 * self.pad - span,
+            self.in_w + 2 * self.pad - span,
+        )
+    }
+
+    /// Extent `(rows, cols)` of one phase plane: `G` split by row and
+    /// column index mod `p·S` (the stride between pooled outputs in `G`).
+    fn phase_dims(&self) -> (usize, usize) {
+        let step = self.pool * self.conv_stride;
+        let (g_h, g_w) = self.g_dims();
+        (g_h.div_ceil(step), g_w.div_ceil(step))
+    }
+
+    /// Columns of the fused MAC's output: pooled row `x` starts at column
+    /// `x · phase_cols`, so the `phase_cols − out_w` columns between rows
+    /// are computed and dropped.
+    fn mac_cols(&self) -> usize {
+        (self.out_h - 1) * self.phase_dims().1 + self.out_w
+    }
 }
 
 /// Reusable scratch buffers for the fused kernel: the zero-padded input
-/// plane, the half-addition plane and the per-channel block-sum (`G`)
-/// planes. Create once (or via `Workspace::for_plan`), reuse across calls —
+/// plane, the half-addition plane, the per-channel block-sum (`G`) planes,
+/// their phase split, the MAC's row table and its raw sums. Create once
+/// (or via `Workspace::for_plan`), reuse across calls —
 /// [`FusedConvPool::forward_item_into`] only grows the buffers when a
 /// larger geometry arrives, so steady-state execution is allocation-free.
 #[derive(Debug, Clone, Default)]
@@ -106,6 +133,9 @@ pub struct FusedScratch<T> {
     padded: Vec<T>,
     ha: Vec<T>,
     g: Vec<T>,
+    phased: Vec<T>,
+    rows: Vec<usize>,
+    sums: Vec<T>,
 }
 
 impl<T: Scalar> FusedScratch<T> {
@@ -115,25 +145,38 @@ impl<T: Scalar> FusedScratch<T> {
             padded: Vec::new(),
             ha: Vec::new(),
             g: Vec::new(),
+            phased: Vec::new(),
+            rows: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
-    /// Grow the buffers to cover `geom` with `channels` input channels.
-    /// Never shrinks, so one scratch serves every fused layer of a network.
-    pub fn ensure(&mut self, geom: &FusedGeometry, channels: usize) {
+    /// Grow the buffers to cover `geom` with `channels` input and
+    /// `out_channels` output channels. Never shrinks, so one scratch
+    /// serves every fused layer of a network.
+    pub fn ensure(&mut self, geom: &FusedGeometry, channels: usize, out_channels: usize) {
         let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
-        let span = (geom.pool - 1) * geom.conv_stride;
-        let g_len = channels * (ph - span) * (pw - span);
-        if self.padded.len() < ph * pw {
-            self.padded.resize(ph * pw, T::zero());
-        }
+        let (g_h, g_w) = geom.g_dims();
+        let (phase_h, phase_w) = geom.phase_dims();
+        let step = geom.pool * geom.conv_stride;
+        grow(&mut self.padded, ph * pw, T::zero());
         // both LAR orientations need at most a padded-plane's worth of HA
-        if self.ha.len() < ph * pw {
-            self.ha.resize(ph * pw, T::zero());
-        }
-        if self.g.len() < g_len {
-            self.g.resize(g_len, T::zero());
-        }
+        grow(&mut self.ha, ph * pw, T::zero());
+        grow(&mut self.g, channels * g_h * g_w, T::zero());
+        grow(
+            &mut self.phased,
+            channels * step * step * phase_h * phase_w,
+            T::zero(),
+        );
+        grow(&mut self.rows, channels * geom.k * geom.k, 0);
+        grow(&mut self.sums, out_channels * geom.mac_cols(), T::zero());
+    }
+}
+
+/// Resize `v` up to `len` (never down).
+fn grow<V: Clone>(v: &mut Vec<V>, len: usize, fill: V) {
+    if v.len() < len {
+        v.resize(len, fill);
     }
 }
 
@@ -263,72 +306,41 @@ impl<T: Scalar> FusedConvPool<T> {
 
     /// Build the block-sum plane `G` for one padded input plane.
     ///
-    /// Returns a `(g_h × g_w)` row-major buffer where
+    /// Writes a `(g_h × gw)` row-major buffer where
     /// `G[a][b] = Σ_{dy,dx<p} padded[a+dy·S][b+dx·S]`, computed through the
     /// half-addition plane exactly as the AR unit does — column-based
     /// (vertical HA, horizontal combine) by default, or the row-based
-    /// orientation when selected.
-    fn block_sum_plane_into(
-        &self,
-        padded: &[T],
-        ph: usize,
-        pw: usize,
-        ha: &mut [T],
-        g: &mut [T],
-    ) -> usize {
+    /// orientation when selected. Each element starts from its first
+    /// operand and adds the rest in `dy`/`dx` order; the loops run a whole
+    /// row at a time so they vectorize.
+    fn block_sum_plane_into(&self, padded: &[T], ph: usize, pw: usize, ha: &mut [T], g: &mut [T]) {
         let p = self.pool;
         let s = self.conv_stride;
         let span = (p - 1) * s;
         let g_h = ph - span;
-        let gw_valid = pw - span;
-        debug_assert!(g.len() >= g_h * gw_valid);
+        let gw = pw - span;
+        debug_assert!(g.len() >= g_h * gw);
+        debug_assert!(ha.len() >= ph * pw);
+        let g_rows = g.chunks_exact_mut(gw).take(g_h);
         if self.row_based {
             // phase 1: half additions over rows (horizontal p-sums)
-            debug_assert!(ha.len() >= ph * gw_valid);
-            for a in 0..ph {
-                for b in 0..gw_valid {
-                    let mut acc = padded[a * pw + b];
-                    for dx in 1..p {
-                        acc += padded[a * pw + b + dx * s];
-                    }
-                    ha[a * gw_valid + b] = acc;
-                }
+            for (row, ha_row) in padded.chunks_exact(pw).zip(ha.chunks_exact_mut(gw)) {
+                window_sum(ha_row, p, |dx| &row[dx * s..]);
             }
             // phase 2: vertical combine
-            for a in 0..g_h {
-                for b in 0..gw_valid {
-                    let mut acc = ha[a * gw_valid + b];
-                    for dy in 1..p {
-                        acc += ha[(a + dy * s) * gw_valid + b];
-                    }
-                    g[a * gw_valid + b] = acc;
-                }
+            for (a, g_row) in g_rows.enumerate() {
+                window_sum(g_row, p, |dy| &ha[(a + dy * s) * gw..]);
             }
-            return gw_valid;
+            return;
         }
-        let g_w = pw; // HA spans full width; G valid width is pw - span
-        debug_assert!(ha.len() >= g_h * g_w);
-        // phase 1: half additions (vertical p-sums at spacing S)
-        for a in 0..g_h {
-            for b in 0..pw {
-                let mut acc = padded[a * pw + b];
-                for dy in 1..p {
-                    acc += padded[(a + dy * s) * pw + b];
-                }
-                ha[a * g_w + b] = acc;
-            }
+        // HA spans the full padded width; G's valid width is pw - span
+        for (a, (ha_row, g_row)) in ha.chunks_exact_mut(pw).zip(g_rows).enumerate() {
+            // phase 1: half additions (vertical p-sums at spacing S)
+            window_sum(ha_row, p, |dy| &padded[(a + dy * s) * pw..]);
+            // phase 2: full additions (horizontal combine at spacing S)
+            let ha_row = &*ha_row;
+            window_sum(g_row, p, |dx| &ha_row[dx * s..]);
         }
-        // phase 2: full additions (horizontal combine at spacing S)
-        for a in 0..g_h {
-            for b in 0..gw_valid {
-                let mut acc = ha[a * g_w + b];
-                for dx in 1..p {
-                    acc += ha[a * g_w + b + dx * s];
-                }
-                g[a * gw_valid + b] = acc;
-            }
-        }
-        gw_valid
     }
 
     /// Run the fused operator on one batch item laid out as a raw
@@ -337,6 +349,16 @@ impl<T: Scalar> FusedConvPool<T> {
     /// first use and reused thereafter — the execution plan's zero-
     /// allocation steady state. Arithmetic is identical to [`Self::forward`]
     /// (which delegates here per item), so the two are bitwise equal.
+    ///
+    /// Phase 3 runs as one register-tiled GEMM, `weight(out_ch × c·K·K)`
+    /// times a right-hand side whose row `(ti, i, j)` holds tap `(i, j)`
+    /// of every pooled output's window in `G_ti`. Pooled outputs sit
+    /// `p·S` apart in `G`, so each `G` plane is first split by row and
+    /// column phase mod `p·S`; in a phase plane one tap's windows are then
+    /// consecutive, and the GEMM reads them in place through a row-offset
+    /// table. It is still one multiplication per weight per pooled output,
+    /// and every output keeps its own accumulator summing in `(ti, i, j)`
+    /// order from `+0.0`, exactly as the textbook per-output loop.
     pub fn forward_item_into(
         &self,
         item: &[T],
@@ -345,19 +367,83 @@ impl<T: Scalar> FusedConvPool<T> {
         scratch: &mut FusedScratch<T>,
     ) {
         let wshape = self.weight.shape();
-        let channels = wshape.c;
-        let (p, s, k) = (self.pool, self.conv_stride, geom.k);
-        let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        let (channels, k) = (wshape.c, geom.k);
+        let (out_h, out_w) = (geom.out_h, geom.out_w);
         assert_eq!(item.len(), channels * geom.in_h * geom.in_w);
-        assert_eq!(dst.len(), wshape.n * geom.out_h * geom.out_w);
-        scratch.ensure(geom, channels);
-        let inv_area = T::one() / T::from_f32((p * p) as f32);
-        let span = (p - 1) * s;
-        let g_plane_len = (ph - span) * (pw - span);
-        // phase 1+2 per input channel: block-sum planes
-        let mut gw = 0;
-        for c in 0..channels {
-            let plane = &item[c * geom.in_h * geom.in_w..(c + 1) * geom.in_h * geom.in_w];
+        assert_eq!(dst.len(), wshape.n * out_h * out_w);
+        scratch.ensure(geom, channels, wshape.n);
+        self.block_sums_into(item, geom, scratch);
+        // phase 3a: G_ti[a][b] -> phase plane (ti, a mod p·S, b mod p·S),
+        // row a / p·S, column b / p·S
+        let step = self.pool * self.conv_stride;
+        let (g_h, g_w) = geom.g_dims();
+        let (phase_h, phase_w) = geom.phase_dims();
+        let phase_len = phase_h * phase_w;
+        let g_planes = scratch.g.chunks_exact(g_h * g_w).take(channels);
+        for (ti, g_plane) in g_planes.enumerate() {
+            for (a, g_row) in g_plane.chunks_exact(g_w).enumerate() {
+                for phi in 0..step.min(g_w) {
+                    let plane = (ti * step + a % step) * step + phi;
+                    let start = plane * phase_len + (a / step) * phase_w;
+                    let dst_row = &mut scratch.phased[start..start + phase_w];
+                    for (d, &v) in dst_row.iter_mut().zip(g_row[phi..].iter().step_by(step)) {
+                        *d = v;
+                    }
+                }
+            }
+        }
+        // phase 3b: MAC over the factored weights. Tap (ti, i, j) of pooled
+        // output (x, y) is G_ti[x·p·S + i][y·p·S + j], i.e. element
+        // (x + i / p·S, y + j / p·S) of phase plane (ti, i mod p·S, j mod p·S).
+        let taps = channels * k * k;
+        for (t, row) in scratch.rows[..taps].iter_mut().enumerate() {
+            let (ti, i, j) = (t / (k * k), t / k % k, t % k);
+            let plane = (ti * step + i % step) * step + j % step;
+            *row = plane * phase_len + (i / step) * phase_w + j / step;
+        }
+        let n = geom.mac_cols();
+        let sums = &mut scratch.sums[..wshape.n * n];
+        matmul_rows_into(
+            self.weight.as_slice(),
+            &scratch.phased,
+            &scratch.rows[..taps],
+            sums,
+            wshape.n,
+            taps,
+            n,
+        );
+        // preprocessing: /p², bias, activation — dropping the columns
+        // between pooled rows
+        let inv_area = T::one() / T::from_f32((self.pool * self.pool) as f32);
+        let out_planes = dst.chunks_exact_mut(out_h * out_w);
+        for ((out_plane, plane_sums), &bias) in out_planes.zip(sums.chunks_exact(n)).zip(&self.bias)
+        {
+            for (x, out_row) in out_plane.chunks_exact_mut(out_w).enumerate() {
+                for (o, &acc) in out_row.iter_mut().zip(&plane_sums[x * phase_w..]) {
+                    let mut v = if self.divide { acc * inv_area } else { acc };
+                    v += bias;
+                    if self.relu {
+                        v = v.relu();
+                    }
+                    *o = v;
+                }
+            }
+        }
+    }
+
+    /// Phases 1 and 2 for every input channel: zero-pad the plane into
+    /// scratch and build its block-sum plane `G` in `scratch.g`.
+    fn block_sums_into(&self, item: &[T], geom: &FusedGeometry, scratch: &mut FusedScratch<T>) {
+        let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        let (g_h, g_w) = geom.g_dims();
+        let plane_len = geom.in_h * geom.in_w;
+        let g_planes = scratch.g.chunks_exact_mut(g_h * g_w);
+        for (c, g_plane) in g_planes.take(self.weight.shape().c).enumerate() {
+            let plane = &item[c * plane_len..(c + 1) * plane_len];
+            if geom.pad == 0 {
+                self.block_sum_plane_into(plane, ph, pw, &mut scratch.ha, g_plane);
+                continue;
+            }
             let padded = &mut scratch.padded[..ph * pw];
             padded.fill(T::zero());
             for h in 0..geom.in_h {
@@ -365,37 +451,7 @@ impl<T: Scalar> FusedConvPool<T> {
                     [(h + geom.pad) * pw + geom.pad..(h + geom.pad) * pw + geom.pad + geom.in_w];
                 dst_row.copy_from_slice(&plane[h * geom.in_w..(h + 1) * geom.in_w]);
             }
-            gw = self.block_sum_plane_into(
-                &scratch.padded[..ph * pw],
-                ph,
-                pw,
-                &mut scratch.ha,
-                &mut scratch.g[c * g_plane_len..(c + 1) * g_plane_len],
-            );
-        }
-        // phase 3: MAC over the factored weights
-        for to in 0..wshape.n {
-            for x in 0..geom.out_h {
-                for y in 0..geom.out_w {
-                    let mut acc = T::zero();
-                    for ti in 0..channels {
-                        let gp = &scratch.g[ti * g_plane_len..(ti + 1) * g_plane_len];
-                        for i in 0..k {
-                            let row = (p * x * s + i) * gw + p * y * s;
-                            for j in 0..k {
-                                acc += self.weight.at(to, ti, i, j) * gp[row + j];
-                            }
-                        }
-                    }
-                    // preprocessing: /p², bias, activation
-                    let mut v = if self.divide { acc * inv_area } else { acc };
-                    v += self.bias[to];
-                    if self.relu {
-                        v = v.relu();
-                    }
-                    dst[(to * geom.out_h + x) * geom.out_w + y] = v;
-                }
-            }
+            self.block_sum_plane_into(padded, ph, pw, &mut scratch.ha, g_plane);
         }
     }
 
@@ -457,11 +513,29 @@ impl<T: Scalar> FusedConvPool<T> {
     }
 }
 
+/// `out[b] = term(0)[b] + term(1)[b] + … + term(p−1)[b]`, added left to
+/// right (the per-element order of the AR unit's `acc += …` loop), one
+/// whole row per term so the adds vectorize.
+fn window_sum<'a, T: Scalar>(out: &mut [T], p: usize, term: impl Fn(usize) -> &'a [T]) {
+    let first = &term(0)[..out.len()];
+    if p == 1 {
+        out.copy_from_slice(first);
+        return;
+    }
+    for ((o, &x), &y) in out.iter_mut().zip(first).zip(term(1)) {
+        *o = x + y;
+    }
+    for d in 2..p {
+        for (o, &x) in out.iter_mut().zip(term(d)) {
+            *o += x;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlcnn_tensor::init;
-    #[cfg(not(miri))]
     use proptest::prelude::*;
 
     fn rand_setup(
@@ -481,6 +555,178 @@ mod tests {
         let bias: Vec<f32> = (0..cout).map(|i| (i as f32 - 1.0) * 0.05).collect();
         let fused = FusedConvPool::new(weight, bias, s, pad, pool).unwrap();
         (input, fused)
+    }
+
+    /// The textbook kernel the tiled one replaced, kept as the oracle:
+    /// per-element LAR loops (phases 1–2, either orientation), then one
+    /// scalar accumulator per pooled output summing
+    /// `W[to][ti][i][j]·G_ti[..]` in `(ti, i, j)` order, then the
+    /// preprocessing unit's divide, bias and ReLU.
+    fn forward_item_oracle<T: Scalar>(
+        f: &FusedConvPool<T>,
+        item: &[T],
+        geom: &FusedGeometry,
+        dst: &mut [T],
+    ) {
+        let wshape = f.weight.shape();
+        let (p, s, k) = (f.pool, f.conv_stride, geom.k);
+        let (ph, pw) = (geom.in_h + 2 * geom.pad, geom.in_w + 2 * geom.pad);
+        let span = (p - 1) * s;
+        let (g_h, gw) = (ph - span, pw - span);
+        let mut g = vec![T::zero(); wshape.c * g_h * gw];
+        for c in 0..wshape.c {
+            let mut padded = vec![T::zero(); ph * pw];
+            for h in 0..geom.in_h {
+                for w in 0..geom.in_w {
+                    padded[(h + geom.pad) * pw + geom.pad + w] =
+                        item[(c * geom.in_h + h) * geom.in_w + w];
+                }
+            }
+            let gp = &mut g[c * g_h * gw..(c + 1) * g_h * gw];
+            if f.row_based {
+                let mut ha = vec![T::zero(); ph * gw];
+                for a in 0..ph {
+                    for b in 0..gw {
+                        let mut acc = padded[a * pw + b];
+                        for dx in 1..p {
+                            acc += padded[a * pw + b + dx * s];
+                        }
+                        ha[a * gw + b] = acc;
+                    }
+                }
+                for a in 0..g_h {
+                    for b in 0..gw {
+                        let mut acc = ha[a * gw + b];
+                        for dy in 1..p {
+                            acc += ha[(a + dy * s) * gw + b];
+                        }
+                        gp[a * gw + b] = acc;
+                    }
+                }
+            } else {
+                let mut ha = vec![T::zero(); g_h * pw];
+                for a in 0..g_h {
+                    for b in 0..pw {
+                        let mut acc = padded[a * pw + b];
+                        for dy in 1..p {
+                            acc += padded[(a + dy * s) * pw + b];
+                        }
+                        ha[a * pw + b] = acc;
+                    }
+                }
+                for a in 0..g_h {
+                    for b in 0..gw {
+                        let mut acc = ha[a * pw + b];
+                        for dx in 1..p {
+                            acc += ha[a * pw + b + dx * s];
+                        }
+                        gp[a * gw + b] = acc;
+                    }
+                }
+            }
+        }
+        let inv_area = T::one() / T::from_f32((p * p) as f32);
+        for to in 0..wshape.n {
+            for x in 0..geom.out_h {
+                for y in 0..geom.out_w {
+                    let mut acc = T::zero();
+                    for ti in 0..wshape.c {
+                        let gp = &g[ti * g_h * gw..(ti + 1) * g_h * gw];
+                        for i in 0..k {
+                            let row = (p * x * s + i) * gw + p * y * s;
+                            for j in 0..k {
+                                acc += f.weight.at(to, ti, i, j) * gp[row + j];
+                            }
+                        }
+                    }
+                    let mut v = if f.divide { acc * inv_area } else { acc };
+                    v += f.bias[to];
+                    if f.relu {
+                        v = v.relu();
+                    }
+                    dst[(to * geom.out_h + x) * geom.out_w + y] = v;
+                }
+            }
+        }
+    }
+
+    /// Run the kernel and the oracle on one item of `input`.
+    fn kernel_and_oracle<T: Scalar>(f: &FusedConvPool<T>, input: &Tensor<T>) -> (Vec<T>, Vec<T>) {
+        let geom = f.geometry(input.shape()).unwrap();
+        let len = f.out_shape(input.shape()).unwrap().len();
+        let (mut fast, mut slow) = (vec![T::zero(); len], vec![T::zero(); len]);
+        f.forward_item_into(input.as_slice(), &geom, &mut fast, &mut FusedScratch::new());
+        forward_item_oracle(f, input.as_slice(), &geom, &mut slow);
+        (fast, slow)
+    }
+
+    /// Oracle sweeps run `PROPTEST_CASES` cases (64 by default) natively
+    /// and a handful under Miri.
+    fn oracle_config() -> ProptestConfig {
+        if cfg!(miri) {
+            ProptestConfig::with_cases(3)
+        } else {
+            ProptestConfig::default()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(oracle_config())]
+        #[test]
+        fn oracle_fused_mac_f32_is_bitwise_scalar(
+            seed in 0u64..1_000_000,
+            cin in 1usize..4,
+            cout in prop_oneof![Just(1usize), Just(6), Just(16)],
+            k in 1usize..6,
+            stride in 1usize..3,
+            pad in 0usize..3,
+            pool in 1usize..5,
+            extra in 0usize..6,
+        ) {
+            let d = (pool - 1) * stride + k + extra;
+            let (mut input, fused) = rand_setup(seed, 1, cin, cout, d, k, stride, pad, pool);
+            // awkward inputs: signed zeros, subnormals, large magnitudes
+            let specials = [0.0, -0.0, 1e-40, -3e-39, 3e38, -2e38];
+            for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+                if (i as u64 ^ seed).is_multiple_of(5) {
+                    *v = specials[(i + seed as usize) % specials.len()];
+                }
+            }
+            for relu in [true, false] {
+                let f = fused.clone().with_relu(relu).with_row_based_lar(seed % 2 == 1);
+                let (fast, slow) = kernel_and_oracle(&f, &input);
+                let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(&fast), bits(&slow),
+                    "cin={} cout={} d={} k={} s={} pad={} pool={}",
+                    cin, cout, d, k, stride, pad, pool
+                );
+            }
+        }
+
+        #[test]
+        fn oracle_fused_mac_i64_is_exact(
+            seed in 0u64..1_000_000,
+            cin in 1usize..4,
+            cout in prop_oneof![Just(1usize), Just(6), Just(16)],
+            k in 1usize..5,
+            stride in 1usize..3,
+            pad in 0usize..3,
+            pool in 2usize..4,
+            extra in 0usize..5,
+        ) {
+            let d = (pool - 1) * stride + k + extra;
+            let mut rng = init::rng(seed);
+            let input = init::uniform(Shape4::new(1, cin, d, d), -9.0, 9.0, &mut rng).cast::<i64>();
+            let weight = init::uniform(Shape4::new(cout, cin, k, k), -5.0, 5.0, &mut rng).cast::<i64>();
+            let bias = (0..cout as i64).map(|b| b - 3).collect();
+            let fused = FusedConvPool::new(weight, bias, stride, pad, pool)
+                .unwrap()
+                .with_divide(false)
+                .with_row_based_lar(seed % 2 == 1);
+            let (fast, slow) = kernel_and_oracle(&fused, &input);
+            prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl Workspace {
         }
         for step in &plan.steps {
             if let Op::Fused { geom, .. } = &step.op {
-                self.fused.ensure(geom, step.in_shape.c);
+                self.fused.ensure(geom, step.in_shape.c, step.out_shape.c);
             }
         }
         self.batch = self.batch.max(batch);
