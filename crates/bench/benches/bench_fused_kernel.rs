@@ -89,8 +89,8 @@ fn bench_fused_vs_dense(c: &mut Criterion) {
 }
 
 fn bench_whole_model_fused_inference(c: &mut Criterion) {
-    use mlcnn_core::fused_net::FusedNetwork;
     use mlcnn_core::reorder::reorder_activation_pool;
+    use mlcnn_core::{EvalPlan, PlanOptions, Workspace};
     use mlcnn_nn::spec::build_network;
     use mlcnn_nn::zoo;
 
@@ -99,14 +99,14 @@ fn bench_whole_model_fused_inference(c: &mut Criterion) {
     let specs = reorder_activation_pool(&zoo::lenet5_spec(10)).specs;
     let input = Shape4::new(1, 3, 32, 32);
     let mut net = build_network(&specs, input, 9).unwrap();
-    let params = net.export_params();
-    let fused = FusedNetwork::compile(&specs, &params, input).unwrap();
+    let plan = net.eval_plan(PlanOptions::default()).unwrap();
+    let mut ws = Workspace::for_plan(&plan, 4);
     let x = init::uniform(Shape4::new(4, 3, 32, 32), -1.0, 1.0, &mut init::rng(5));
     group.bench_function("lenet5_layerwise", |b| {
         b.iter(|| black_box(net.forward(black_box(&x)).unwrap()))
     });
     group.bench_function("lenet5_mlcnn_fused", |b| {
-        b.iter(|| black_box(fused.forward(black_box(&x)).unwrap()))
+        b.iter(|| black_box(plan.forward(black_box(&x), &mut ws).unwrap()))
     });
     group.finish();
 }

@@ -3,18 +3,17 @@
 //! batch-parallel scaling.
 //!
 //! * `plan_vs_legacy` — whole-model LeNet-5 inference: the layerwise
-//!   trainable network, the fused pipeline, and the compiled plan with a
-//!   reused workspace (zero steady-state allocation).
-//! * `linear_transpose_hoist` — the satellite regression: the old
-//!   `FusedNetwork` Linear stage re-transposed its weight on every
-//!   forward; the plan transposes once at compile. Benching both forms
-//!   keeps the hoist honest.
+//!   trainable network against the compiled fused plan with a reused
+//!   workspace (zero steady-state allocation).
+//! * `linear_transpose_hoist` — the pre-plan fused pipeline re-transposed
+//!   each Linear weight on every forward; the plan transposes once at
+//!   compile. Benching both forms keeps the hoist honest.
 //! * `plan_batch_parallel` — `forward_batch` fan-out vs the sequential
 //!   in-workspace loop at batch 8.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlcnn_core::reorder::reorder_activation_pool;
-use mlcnn_core::{EvalPlan, FusedNetwork, PlanOptions, Workspace};
+use mlcnn_core::{EvalPlan, PlanOptions, Workspace};
 use mlcnn_nn::spec::build_network;
 use mlcnn_nn::zoo;
 use mlcnn_tensor::linalg::{matmul, transpose};
@@ -27,15 +26,10 @@ fn bench_plan_vs_legacy(c: &mut Criterion) {
     let specs = reorder_activation_pool(&zoo::lenet5_spec(10)).specs;
     let input = Shape4::new(1, 3, 32, 32);
     let mut net = build_network(&specs, input, 9).unwrap();
-    let params = net.export_params();
-    let fused = FusedNetwork::compile(&specs, &params, input).unwrap();
     let plan = net.eval_plan(PlanOptions::default()).unwrap();
     let x = init::uniform(Shape4::new(4, 3, 32, 32), -1.0, 1.0, &mut init::rng(5));
     group.bench_function("lenet5_layerwise_network", |b| {
         b.iter(|| black_box(net.forward(black_box(&x)).unwrap()))
-    });
-    group.bench_function("lenet5_fused_network", |b| {
-        b.iter(|| black_box(fused.forward(black_box(&x)).unwrap()))
     });
     let mut ws = Workspace::for_plan(&plan, 4);
     group.bench_function("lenet5_plan_reused_workspace", |b| {
@@ -52,7 +46,7 @@ fn bench_linear_transpose_hoist(c: &mut Criterion) {
     let mut rng = init::rng(3);
     let w = init::uniform(Shape4::new(out_f, 1, 1, in_f), -0.5, 0.5, &mut rng);
     let x = init::uniform(Shape4::new(batch, 1, 1, in_f), -1.0, 1.0, &mut rng);
-    // the pre-plan FusedNetwork behavior: transpose on every call
+    // the pre-plan behavior: transpose on every call
     group.bench_function("transpose_every_forward", |b| {
         b.iter(|| {
             let w_t = transpose(w.as_slice(), Shape2::new(out_f, in_f));

@@ -71,7 +71,7 @@ pub enum Code {
     /// convolution; the fused conv-pool operator cannot absorb it.
     NonConvPoolProducer,
     /// F004: composite layer (inception / dense / residual) in a pipeline
-    /// meant for `FusedNetwork::compile`, which is sequential-only.
+    /// meant for `ExecutionPlan::compile`, which is sequential-only.
     CompositeNotCompilable,
     /// F005: `BatchNorm` must be folded into the conv weights before
     /// fused compilation.

@@ -53,7 +53,7 @@
 //! configs.
 //!
 //! Higher-level crates consume two entry points here:
-//! [`check_compile`] gates `FusedNetwork::compile`, and [`lint_network`]
+//! [`check_compile`] gates `ExecutionPlan::compile`, and [`lint_network`]
 //! is the one-call "lint this spec" used by the binary and the bench
 //! reports.
 
@@ -86,7 +86,7 @@ pub use slo::{check_slo_config, check_slo_config_summary, SloConfigLint};
 use mlcnn_nn::LayerSpec;
 use mlcnn_tensor::Shape4;
 
-/// Check that a spec list is acceptable to `FusedNetwork::compile`: the
+/// Check that a spec list is acceptable to `ExecutionPlan::compile`: the
 /// shapes must propagate, and the pipeline must be strictly sequential
 /// (the fused executor flattens no composites and folds no batch norm).
 ///

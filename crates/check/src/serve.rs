@@ -6,7 +6,7 @@
 //! request flows. As with the accelerator lints, this module takes *raw
 //! scalars* rather than `mlcnn-serve` types (the serve crate sits above
 //! the checker and calls in from `Service::spawn`, mirroring how
-//! `FusedNetwork::compile` gates on the S/F codes).
+//! `ExecutionPlan::compile` gates on the S/F codes).
 
 use crate::diag::{Code, Reporter};
 

@@ -26,8 +26,9 @@
 //!   an immutable, `Send + Sync` [`plan::ExecutionPlan`] with pre-resolved
 //!   geometry and pre-transposed/pre-quantized weights, executing out of a
 //!   reusable [`plan::Workspace`] arena with zero steady-state allocation.
-//!   `FusedNetwork`, `Network::eval_plan`, and the quantized evaluation
-//!   are thin adapters over it.
+//!   It is the only whole-model forward entry point: fused (MLCNN) and
+//!   layerwise inference are compile options, and `Network::eval_plan`
+//!   and the quantized evaluation are thin adapters over it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +36,6 @@
 pub mod analytic;
 pub mod content;
 pub mod fused;
-pub mod fused_net;
 pub mod opcount;
 pub mod plan;
 pub mod quantized;
@@ -43,7 +43,6 @@ pub mod reorder;
 pub mod reuse_sim;
 
 pub use fused::{FusedConvPool, FusedScratch};
-pub use fused_net::FusedNetwork;
 pub use opcount::OpCounts;
 pub use plan::{
     EvalPlan, ExecutionPlan, ParamHandle, PlanOptions, PooledWorkspace, SegmentKey, SegmentStats,

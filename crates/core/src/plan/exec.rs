@@ -5,9 +5,8 @@
 //! (`matmul_into`, `im2col_into`, the pool plane kernels,
 //! `FusedConvPool::forward_item_into`, the quantizer slice forms), with
 //! the same geometry and the same loop order — bitwise equivalence with
-//! `Network::forward` / `FusedNetwork` / `forward_quantized` holds by
-//! construction, and the golden suite in `tests/plan_equivalence.rs`
-//! enforces it.
+//! `Network::forward` / `forward_quantized` holds by construction, and the
+//! golden suite in `tests/plan_equivalence.rs` enforces it.
 
 use super::{ExecutionPlan, Op, Step, Workspace};
 use crate::fused::FusedScratch;

@@ -15,13 +15,13 @@
 //! multi-mode-engine shape argued for by the cross-layer-reuse literature,
 //! and the substrate the serving/batching roadmap items build on.
 //!
-//! Mode selection mirrors [`FusedNetwork`](crate::FusedNetwork) (which is
-//! now a thin adapter over this module): with [`PlanOptions::fuse`] on,
+//! Mode selection is the accelerator's: with [`PlanOptions::fuse`] on,
 //! `Conv, AvgPool{w==s}[, ReLU]` and `Conv, GlobalAvgPool[, ReLU]` groups
-//! run through the MLCNN fused operator (Algorithm 1); everything else runs
-//! the reference kernels. All kernels are the shared `_into` slice variants
-//! from `mlcnn-tensor`, so the plan is bitwise identical to the legacy
-//! `Network` / `FusedNetwork` / `forward_quantized` paths it replaces.
+//! run through the MLCNN fused operator (Algorithm 1) — the fused mode —
+//! and everything else runs the reference kernels — the regular mode. All
+//! kernels are the shared `_into` slice variants from `mlcnn-tensor`, so
+//! the layerwise plan is bitwise identical to the `Network` /
+//! `forward_quantized` paths it replaces.
 
 mod exec;
 mod segments;
@@ -313,10 +313,11 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Compile a sequential spec list plus its trained parameters (in
     /// `Network::export_params` order: conv/linear layers contribute
-    /// `[weight, bias]` pairs in execution order). The same static gate as
-    /// `FusedNetwork::compile` applies (`mlcnn_check::check_compile`):
-    /// composites and batch norm are rejected with their diagnostic codes;
-    /// dropout is identity at inference and compiles to nothing.
+    /// `[weight, bias]` pairs in execution order). The static gate
+    /// `mlcnn_check::check_compile` runs first: composites and batch norm
+    /// are rejected with their diagnostic codes; dropout is identity at
+    /// inference and compiles to nothing. Leftover or missing parameters
+    /// are errors.
     pub fn compile(
         specs: &[LayerSpec],
         params: &[Tensor<f32>],
@@ -951,5 +952,101 @@ mod shared_tests {
             Ok(_) => panic!("corrupted index must fail the compile"),
         };
         assert!(err.to_string().contains("error[R006]"), "{err}");
+    }
+}
+
+#[cfg(test)]
+mod compile_tests {
+    use super::*;
+    use crate::reorder::reorder_activation_pool;
+    use mlcnn_nn::spec::build_network;
+    use mlcnn_nn::zoo;
+    use mlcnn_tensor::init;
+
+    fn fused_plan(specs: &[LayerSpec], input: Shape4, seed: u64) -> ExecutionPlan {
+        let mut net = build_network(specs, input, seed).unwrap();
+        let params = net.export_params();
+        ExecutionPlan::compile(specs, &params, input, PlanOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn reordered_lenet_fuses_two_groups_and_leaves_c3_regular() {
+        let specs = reorder_activation_pool(&zoo::lenet5_spec(10)).specs;
+        let plan = fused_plan(&specs, Shape4::new(1, 3, 32, 32), 17);
+        assert_eq!(plan.fused_op_count(), 2);
+        let count = |pred: fn(&Op) -> bool| plan.steps.iter().filter(|s| pred(&s.op)).count();
+        assert_eq!(count(|op| matches!(op, Op::Conv { .. })), 1);
+        assert_eq!(count(|op| matches!(op, Op::Linear { .. })), 2);
+    }
+
+    #[test]
+    fn reordered_vgg_mini_fuses_three_groups() {
+        let specs = reorder_activation_pool(&zoo::vgg_mini_spec(3, 10)).specs;
+        let plan = fused_plan(&specs, Shape4::new(1, 3, 32, 32), 23);
+        assert_eq!(plan.fused_op_count(), 3);
+    }
+
+    #[test]
+    fn global_pool_fuses_when_square() {
+        let specs = vec![
+            LayerSpec::conv3(4),
+            LayerSpec::GlobalAvgPool,
+            LayerSpec::ReLU,
+            LayerSpec::Flatten,
+            LayerSpec::Linear { out: 2 },
+        ];
+        let input = Shape4::new(1, 1, 8, 8);
+        let mut net = build_network(&specs, input, 5).unwrap();
+        let plan = fused_plan(&specs, input, 5);
+        assert_eq!(plan.fused_op_count(), 1);
+        let x = init::uniform(input, -1.0, 1.0, &mut init::rng(6));
+        let mut ws = Workspace::for_plan(&plan, 1);
+        let a = plan.forward(&x, &mut ws).unwrap();
+        let b = net.forward(&x).unwrap();
+        assert!(a.approx_eq(&b, 1e-4));
+    }
+
+    #[test]
+    fn rejects_composite_specs() {
+        let specs = zoo::googlenet_mini_spec(2, 10);
+        let input = Shape4::new(1, 3, 32, 32);
+        let mut net = build_network(&specs, input, 1).unwrap();
+        let params = net.export_params();
+        assert!(ExecutionPlan::compile(&specs, &params, input, PlanOptions::default()).is_err());
+    }
+
+    #[test]
+    fn compile_errors_carry_diagnostic_codes() {
+        let input = Shape4::new(1, 3, 8, 8);
+        let opts = PlanOptions::default();
+        let expect_err = |specs: &[LayerSpec]| match ExecutionPlan::compile(specs, &[], input, opts)
+        {
+            Err(e) => e,
+            Ok(_) => panic!("expected a compile error"),
+        };
+        // the static gate fires before any parameter is consumed
+        let err = expect_err(&[LayerSpec::conv3(4), LayerSpec::BatchNorm]);
+        assert!(err.to_string().contains("F005"), "{err}");
+        let too_big = LayerSpec::Conv {
+            out_ch: 4,
+            k: 64,
+            stride: 1,
+            pad: 0,
+        };
+        let err = expect_err(&[too_big]);
+        assert!(err.to_string().contains("S003"), "{err}");
+    }
+
+    #[test]
+    fn rejects_leftover_or_missing_params() {
+        let specs = reorder_activation_pool(&zoo::lenet5_spec(10)).specs;
+        let input = Shape4::new(1, 3, 32, 32);
+        let mut net = build_network(&specs, input, 17).unwrap();
+        let mut params = net.export_params();
+        params.push(params[0].clone());
+        let opts = PlanOptions::default();
+        assert!(ExecutionPlan::compile(&specs, &params, input, opts).is_err());
+        params.truncate(params.len() - 3);
+        assert!(ExecutionPlan::compile(&specs, &params, input, opts).is_err());
     }
 }

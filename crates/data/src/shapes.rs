@@ -53,7 +53,7 @@ pub const KINDS: [ShapeKind; 10] = [
     ShapeKind::Checker,
 ];
 
-/// Ten color families (RGB triples in [0,1]) for the 100-class mode.
+/// Ten color families (RGB triples in \[0,1\]) for the 100-class mode.
 pub const COLORS: [[f32; 3]; 10] = [
     [0.9, 0.1, 0.1],
     [0.1, 0.9, 0.1],

@@ -1,5 +1,5 @@
 //! `mlcnn-loadgen` — load generator and correctness harness for the
-//! micro-batching service and its network transports.
+//! micro-batching service and its event-driven network transport.
 //!
 //! ```text
 //! mlcnn-loadgen [--out PATH] [--smoke] [--requests N] [--clients N]
@@ -29,14 +29,14 @@
 //! reference plan (same seed).
 //!
 //! `--sweep` exercises the event-driven transport: it spawns
-//! `mlcnn-served` child processes, first checking the epoll transport
-//! bitwise against the blocking `--transport threads` oracle (and the
-//! local reference plan), then driving a connection-count sweep with
-//! the multiplexing client — thousands of concurrent sockets from a
-//! few threads, every response checked for order, correlation id, and
-//! bitwise parity — and writes `BENCH_net.json` with rps and p50/p99
-//! per point plus the p99 ratio against an in-process baseline at the
-//! same outstanding-request depth. With `--smoke` the sweep shrinks
+//! `mlcnn-served` child processes, first checking served responses
+//! bitwise against the local reference plan (`plan.forward`), then
+//! driving a connection-count sweep with the multiplexing client —
+//! thousands of concurrent sockets from a few threads, every response
+//! checked for order, correlation id, and bitwise parity — and writes
+//! `BENCH_net.json` with rps and p50/p99 per point plus the p99 ratio
+//! against an in-process baseline at the same outstanding-request
+//! depth. With `--smoke` the sweep shrinks
 //! (and the oracle narrows) to CI size and asserts every point clean.
 //!
 //! `--sched` exercises the SLO-aware scheduler and writes
@@ -47,8 +47,8 @@
 //! gate: the guaranteed class holds its p99 budget with zero
 //! deadline-expired sheds while the best-effort class absorbs all
 //! overload shedding. A second phase replays SLO-tagged requests
-//! through `mlcnn-served --slo` under both the threads and epoll
-//! transports and requires bitwise parity with the local plan.
+//! through `mlcnn-served --slo` and requires bitwise parity with the
+//! local plan.
 
 use std::collections::VecDeque;
 use std::io::BufRead;
@@ -535,46 +535,31 @@ fn spawn_served(extra: &[&str]) -> Result<ChildServer, String> {
     Ok(ChildServer { child, addr })
 }
 
-/// Bitwise oracle: the same inputs through an epoll-transport server,
-/// a threads-transport server, and the local reference plan must
-/// produce identical bytes.
+/// Bitwise oracle: the same inputs through an `mlcnn-served` child and
+/// the local reference plan must produce identical bytes.
 fn oracle_check(model_name: &str, precision: Precision) -> Result<(), String> {
     let model = find_model(model_name).map_err(|e| e.to_string())?;
     let plan = model.compile(precision).map_err(|e| e.to_string())?;
     let mut ws = Workspace::for_plan(&plan, 1);
     let precision_flag = precision.to_string();
-    let epoll = spawn_served(&[
+    let server = spawn_served(&[
         "--model",
         model_name,
         "--precision",
         &precision_flag,
-        "--transport",
-        "epoll",
         "--shards",
         "1",
     ])?;
-    let threads = spawn_served(&[
-        "--model",
-        model_name,
-        "--precision",
-        &precision_flag,
-        "--transport",
-        "threads",
-    ])?;
-    let mut via_epoll = Client::connect(epoll.addr).map_err(|e| e.to_string())?;
-    let mut via_threads = Client::connect(threads.addr).map_err(|e| e.to_string())?;
+    let mut client = Client::connect(server.addr).map_err(|e| e.to_string())?;
     for seed in 0..3u64 {
         let x = item_input(model.input, 4000 + seed);
         let want = plan.forward(&x, &mut ws).map_err(|e| e.to_string())?;
-        let got_epoll = via_epoll
-            .infer_model(model_name, x.clone())
-            .map_err(|e| format!("epoll transport: {e}"))?;
-        let got_threads = via_threads
+        let got = client
             .infer_model(model_name, x)
-            .map_err(|e| format!("threads transport: {e}"))?;
-        if got_epoll != got_threads || got_epoll != want {
+            .map_err(|e| format!("served: {e}"))?;
+        if got != want {
             return Err(format!(
-                "{model_name}@{precision}: transports disagree (seed {seed})"
+                "{model_name}@{precision}: served response diverges from plan.forward (seed {seed})"
             ));
         }
     }
@@ -585,7 +570,7 @@ fn run_sweep(args: &Args) -> Result<String, String> {
     let model = find_model(SWEEP_MODEL).map_err(|e| e.to_string())?;
     let plan = Arc::new(model.compile(Precision::Fp32).map_err(|e| e.to_string())?);
 
-    // Phase 1: bitwise oracle, epoll vs threads vs local plan. The full
+    // Phase 1: bitwise oracle, served vs local plan. The full
     // sweep covers the whole serving zoo at every precision; smoke mode
     // narrows to one model so the CI job stays bounded.
     let oracle_set: Vec<(String, Precision)> = if args.smoke {
@@ -599,7 +584,7 @@ fn run_sweep(args: &Args) -> Result<String, String> {
     let mut oracle_entries = Vec::new();
     for (name, precision) in &oracle_set {
         oracle_check(name, *precision)?;
-        println!("[loadgen] oracle {name}@{precision}: epoll == threads == plan.forward");
+        println!("[loadgen] oracle {name}@{precision}: served == plan.forward");
         oracle_entries.push(format!("\"{name}@{precision}\""));
     }
 
@@ -615,8 +600,6 @@ fn run_sweep(args: &Args) -> Result<String, String> {
         SWEEP_MODEL,
         "--precision",
         "fp32",
-        "--transport",
-        "epoll",
         "--shards",
         "1",
         "--max-batch",
@@ -706,7 +689,7 @@ fn run_sweep(args: &Args) -> Result<String, String> {
 
     Ok(format!
         (
-        "{{\n  \"mode\": \"sweep\",\n  \"smoke\": {},\n  \"model\": \"{SWEEP_MODEL}\",\n  \"precision\": \"fp32\",\n  \"transport\": \"epoll\",\n  \"oracle_bitwise_identical\": true,\n  \"oracle_checked\": [{}],\n  \"all_points_clean\": {},\n  \"peak_clean_connections\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"mode\": \"sweep\",\n  \"smoke\": {},\n  \"model\": \"{SWEEP_MODEL}\",\n  \"precision\": \"fp32\",\n  \"oracle_bitwise_identical\": true,\n  \"oracle_checked\": [{}],\n  \"all_points_clean\": {},\n  \"peak_clean_connections\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
         args.smoke,
         oracle_entries.join(", "),
         all_clean,
@@ -716,7 +699,7 @@ fn run_sweep(args: &Args) -> Result<String, String> {
 }
 
 // ---------------------------------------------------------------------------
-// --sched: the SLO-aware scheduler under ≥3× overload + transport parity
+// --sched: the SLO-aware scheduler under ≥3× overload + served parity
 // ---------------------------------------------------------------------------
 
 /// Model the sched run drives. Convolution-bound, so one worker's
@@ -745,28 +728,26 @@ fn class_fragment(c: &ClassSnapshot) -> String {
     )
 }
 
-/// SLO parity across transports: the same SLO-tagged inputs through an
-/// epoll-transport `--slo` server, a threads-transport `--slo` server,
-/// and the local reference plan must produce identical bytes, for both
-/// the guaranteed and the best-effort class.
+/// SLO parity: the same SLO-tagged inputs through an `mlcnn-served
+/// --slo` child and the local reference plan must produce identical
+/// bytes, for both the guaranteed and the best-effort class.
 fn sched_parity(model_name: &str, precision: Precision) -> Result<(), String> {
     let model = find_model(model_name).map_err(|e| e.to_string())?;
     let plan = model.compile(precision).map_err(|e| e.to_string())?;
     let mut ws = Workspace::for_plan(&plan, 1);
     let precision_flag = precision.to_string();
     let slo_flag = format!("guaranteed:{SCHED_BUDGET_MICROS}");
-    let common = [
+    let server = spawn_served(&[
         "--model",
         model_name,
         "--precision",
         &precision_flag,
         "--slo",
         &slo_flag,
-    ];
-    let epoll = spawn_served(&[&common[..], &["--transport", "epoll", "--shards", "1"]].concat())?;
-    let threads = spawn_served(&[&common[..], &["--transport", "threads"]].concat())?;
-    let mut via_epoll = Client::connect(epoll.addr).map_err(|e| e.to_string())?;
-    let mut via_threads = Client::connect(threads.addr).map_err(|e| e.to_string())?;
+        "--shards",
+        "1",
+    ])?;
+    let mut client = Client::connect(server.addr).map_err(|e| e.to_string())?;
     let specs = [
         SloSpec::guaranteed(Duration::from_micros(SCHED_BUDGET_MICROS)),
         SloSpec::best_effort(),
@@ -775,15 +756,12 @@ fn sched_parity(model_name: &str, precision: Precision) -> Result<(), String> {
         for spec in specs {
             let x = item_input(model.input, 6000 + seed);
             let want = plan.forward(&x, &mut ws).map_err(|e| e.to_string())?;
-            let got_epoll = via_epoll
-                .infer_slo(model_name, spec, x.clone())
-                .map_err(|e| format!("epoll transport ({spec}): {e}"))?;
-            let got_threads = via_threads
+            let got = client
                 .infer_slo(model_name, spec, x)
-                .map_err(|e| format!("threads transport ({spec}): {e}"))?;
-            if got_epoll != got_threads || got_epoll != want {
+                .map_err(|e| format!("served ({spec}): {e}"))?;
+            if got != want {
                 return Err(format!(
-                    "{model_name}@{precision}: SLO transports disagree (seed {seed}, {spec})"
+                    "{model_name}@{precision}: SLO response diverges from plan.forward (seed {seed}, {spec})"
                 ));
             }
         }
@@ -878,9 +856,9 @@ fn run_sched(args: &Args) -> Result<String, String> {
         snap.rejected_full,
     );
 
-    // Phase 3: SLO frames bitwise parity-clean across both transports.
+    // Phase 3: SLO frames served bitwise equal to the local plan.
     sched_parity(SCHED_MODEL, Precision::Fp32)?;
-    println!("[loadgen] sched parity: epoll == threads == plan.forward under --slo");
+    println!("[loadgen] sched parity: served == plan.forward under --slo");
 
     if args.smoke {
         assert!(
@@ -931,7 +909,7 @@ fn run_sched(args: &Args) -> Result<String, String> {
             "  \"submit_rejected\": {{\"guaranteed\": {srg}, \"best_effort\": {srb}}},\n",
             "  \"guaranteed\": {g},\n",
             "  \"best_effort\": {b},\n",
-            "  \"transport_parity\": {{\"model\": \"{model}\", \"transports\": [\"epoll\", \"threads\"], \"bitwise_identical\": true}}\n",
+            "  \"served_parity\": {{\"model\": \"{model}\", \"bitwise_identical\": true}}\n",
             "}}\n",
         ),
         smoke = args.smoke,

@@ -12,7 +12,7 @@
 //!    directory (different weight seeds, so their outputs are
 //!    distinguishable);
 //! 2. open the directory with [`ModelRegistry`], front it with a
-//!    [`Router`], and serve it over TCP;
+//!    [`Router`], and serve it over TCP with a [`NetServer`];
 //! 3. hammer the server from concurrent clients while the main thread
 //!    publishes revision 2 mid-load;
 //! 4. assert **zero failed requests** and that every single response is
@@ -31,10 +31,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mlcnn_core::Workspace;
-use mlcnn_nn::spec::build_network;
+use mlcnn_net::{NetConfig, NetServer};
 use mlcnn_quant::Precision;
 use mlcnn_registry::{Artifact, ModelRegistry};
-use mlcnn_serve::{find_model, serve_listener, Client, Router, ServeConfig};
+use mlcnn_serve::{find_model, Client, Router, ServeConfig};
 use mlcnn_tensor::{init, Shape4, Tensor};
 
 const SEED_REV1: u64 = 1001;
@@ -79,36 +79,25 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// `model` at `revision` with FP32 weights from `seed`.
+fn artifact(model: &str, revision: u64, seed: u64) -> Result<Artifact, String> {
+    find_model(model)
+        .and_then(|zoo| zoo.artifact(revision, Precision::Fp32, seed))
+        .map_err(|e| e.to_string())
+}
+
 /// Pack `model` at `revision` with weights from `seed`.
 fn pack(dir: &std::path::Path, model: &str, revision: u64, seed: u64) -> Result<(), String> {
-    let zoo = find_model(model).map_err(|e| e.to_string())?;
-    let mut net =
-        build_network(&zoo.specs, zoo.input, seed).map_err(|e| format!("{model}: {e}"))?;
-    let artifact = Artifact {
-        model: model.to_string(),
-        revision,
-        specs: zoo.specs.clone(),
-        input: zoo.input,
-        precision: Precision::Fp32,
-        params: net.export_params(),
-    };
+    let artifact = artifact(model, revision, seed)?;
     let bytes = artifact.encode().map_err(|e| e.to_string())?;
     std::fs::write(dir.join(artifact.file_name()), bytes).map_err(|e| e.to_string())
 }
 
 /// Reference single-item forward for `(model, seed)` on `input`.
 fn reference(model: &str, seed: u64, input: &Tensor<f32>) -> Result<Vec<f32>, String> {
-    let zoo = find_model(model).map_err(|e| e.to_string())?;
-    let mut net =
-        build_network(&zoo.specs, zoo.input, seed).map_err(|e| format!("{model}: {e}"))?;
-    let params = net.export_params();
-    let plan = mlcnn_core::ExecutionPlan::compile(
-        &zoo.specs,
-        &params,
-        zoo.input,
-        mlcnn_core::PlanOptions::default().with_precision(Precision::Fp32),
-    )
-    .map_err(|e| e.to_string())?;
+    let plan = artifact(model, 1, seed)?
+        .compile(Precision::Fp32)
+        .map_err(|e| e.to_string())?;
     let mut ws = Workspace::new();
     let out = plan.forward(input, &mut ws).map_err(|e| e.to_string())?;
     Ok(out.as_slice().to_vec())
@@ -142,16 +131,9 @@ fn run() -> Result<(), String> {
         Router::new(Arc::new(registry), ServeConfig::default()).map_err(|e| e.to_string())?,
     );
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| e.to_string())?;
-    let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    {
-        let router = Arc::clone(&router);
-        std::thread::Builder::new()
-            .name("mlcnn-smoke-accept".into())
-            .spawn(move || {
-                let _ = serve_listener(listener, router);
-            })
-            .map_err(|e| e.to_string())?;
-    }
+    let server = NetServer::spawn(listener, Arc::clone(&router), NetConfig::default())
+        .map_err(|e| e.to_string())?;
+    let addr = server.local_addr();
 
     let shape = find_model(&args.model).map_err(|e| e.to_string())?.input;
     let input = init::uniform(
@@ -259,6 +241,7 @@ fn run() -> Result<(), String> {
     if post_rollback.as_slice() != &ref1[..] {
         return Err("post-rollback response does not match revision 1".into());
     }
+    server.shutdown();
 
     let total = tally.ok_rev1 + tally.ok_rev2 + tally.failed + tally.unattributed;
     let report = format!(

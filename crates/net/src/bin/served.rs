@@ -7,7 +7,7 @@
 //!              [--addr HOST:PORT] [--workers N] [--max-batch N]
 //!              [--max-wait-micros N] [--queue N]
 //!              [--slo guaranteed:MICROS|best-effort] [--auto-tune]
-//!              [--transport epoll|threads] [--shards N] [--max-conns N]
+//!              [--shards N] [--max-conns N]
 //!              [--max-pipeline N] [--idle-timeout-millis N]
 //! ```
 //!
@@ -32,16 +32,11 @@
 //!   under live traffic. `--model`/`--precision` are ignored in this
 //!   mode — each artifact records its own serving precision.
 //!
-//! And two transports:
-//!
-//! * **epoll** (default): the event-driven sharded reactor in
-//!   `mlcnn-net` — `--shards` event-loop threads, `--max-conns`
-//!   admission cap, `--max-pipeline` per-connection pipelining with
-//!   backpressure, `--idle-timeout-millis` idle reaping. Scales to tens
-//!   of thousands of concurrent connections.
-//! * **threads** (`--transport threads`): the original blocking
-//!   thread-per-connection listener, kept as the bitwise parity oracle
-//!   for the event-driven path.
+//! Either way the transport is the event-driven sharded reactor in
+//! `mlcnn-net`: `--shards` event-loop threads, a `--max-conns`
+//! admission cap, `--max-pipeline` per-connection pipelining with
+//! backpressure, and `--idle-timeout-millis` idle reaping. It scales to
+//! tens of thousands of concurrent connections.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -51,15 +46,7 @@ use std::time::Duration;
 use mlcnn_net::{NetConfig, NetServer};
 use mlcnn_quant::Precision;
 use mlcnn_registry::ModelRegistry;
-use mlcnn_serve::{
-    find_model, serve_listener, Dispatch, NamedService, Router, ServeConfig, Service,
-};
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    Epoll,
-    Threads,
-}
+use mlcnn_serve::{find_model, Dispatch, NamedService, Router, ServeConfig, Service};
 
 struct Args {
     model: String,
@@ -67,7 +54,6 @@ struct Args {
     registry: Option<String>,
     addr: String,
     cfg: ServeConfig,
-    transport: Transport,
     net: NetConfig,
 }
 
@@ -78,7 +64,6 @@ fn parse_args() -> Result<Args, String> {
         registry: None,
         addr: "127.0.0.1:7433".into(),
         cfg: ServeConfig::default(),
-        transport: Transport::Epoll,
         net: NetConfig::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -116,13 +101,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.slo = Some(spec);
             }
             "--auto-tune" => args.cfg.auto_tune = true,
-            "--transport" => {
-                args.transport = match val("--transport")?.as_str() {
-                    "epoll" => Transport::Epoll,
-                    "threads" => Transport::Threads,
-                    other => return Err(format!("--transport: '{other}' (epoll|threads)")),
-                }
-            }
             "--shards" => {
                 args.net.shards = val("--shards")?
                     .parse()
@@ -167,29 +145,19 @@ fn slo_banner(args: &Args) -> String {
     }
 }
 
-fn transport_banner(args: &Args) -> String {
-    match args.transport {
-        Transport::Threads => "transport=threads".to_string(),
-        Transport::Epoll => format!(
-            "transport=epoll shards={} max_conns={} max_pipeline={} idle_timeout={:?}",
-            args.net.shards, args.net.max_connections, args.net.max_pipeline, args.net.idle_timeout
-        ),
-    }
+fn net_banner(args: &Args) -> String {
+    format!(
+        "shards={} max_conns={} max_pipeline={} idle_timeout={:?}",
+        args.net.shards, args.net.max_connections, args.net.max_pipeline, args.net.idle_timeout
+    )
 }
 
-/// Serve `backend` on `listener` over the selected transport; blocks
+/// Serve `backend` on `listener` over the event-driven transport; blocks
 /// until the process is killed.
 fn serve<D: Dispatch>(args: &Args, listener: TcpListener, backend: Arc<D>) -> Result<(), String> {
-    match args.transport {
-        Transport::Threads => {
-            serve_listener(listener, backend).map_err(|e| format!("accept loop failed: {e}"))
-        }
-        Transport::Epoll => {
-            let server = NetServer::spawn(listener, backend, args.net.clone())
-                .map_err(|e| format!("event-driven server failed to start: {e}"))?;
-            server.join().map_err(|e| format!("acceptor failed: {e}"))
-        }
-    }
+    let server = NetServer::spawn(listener, backend, args.net.clone())
+        .map_err(|e| format!("event-driven server failed to start: {e}"))?;
+    server.join().map_err(|e| format!("acceptor failed: {e}"))
 }
 
 fn run_registry(args: &Args, dir: &str) -> Result<(), String> {
@@ -215,7 +183,7 @@ fn run_registry(args: &Args, dir: &str) -> Result<(), String> {
         args.cfg.max_wait,
         args.cfg.queue_capacity,
         slo_banner(args),
-        transport_banner(args),
+        net_banner(args),
     );
     serve(args, listener, router)
 }
@@ -238,7 +206,7 @@ fn run_single(args: &Args) -> Result<(), String> {
         args.cfg.max_wait,
         args.cfg.queue_capacity,
         slo_banner(args),
-        transport_banner(args),
+        net_banner(args),
     );
     serve(args, listener, backend)
 }

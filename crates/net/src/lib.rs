@@ -1,10 +1,9 @@
 //! `mlcnn-net` — event-driven, sharded network layer for MLCNN
 //! serving.
 //!
-//! The blocking front-end in [`mlcnn_serve::net`] spends two OS
-//! threads per connection, which caps a server at a few thousand
-//! sockets. This crate replaces it as the default transport with a
-//! readiness-based design over the vendored `minimio` epoll wrapper:
+//! The transport behind `mlcnn-served`: a readiness-based design over
+//! the vendored `minimio` epoll wrapper that serves tens of thousands of
+//! sockets from a fixed thread count:
 //!
 //! ```text
 //!            accept()                round-robin
@@ -30,11 +29,9 @@
 //!   [`mlcnn_serve::CompletionNotify`] — the worker pushes the
 //!   connection's token into the shard's inbox and fires its
 //!   `eventfd` waker; the reactor then *polls* the resolved tickets.
-//! * **Routing unchanged**: the backend is any
-//!   [`mlcnn_serve::Dispatch`], so `Router` hot-swap and revision
-//!   attribution hold on this transport exactly as on the blocking
-//!   one (which remains available as a parity oracle behind
-//!   `mlcnn-served --transport threads`).
+//! * **Any backend**: the backend is any [`mlcnn_serve::Dispatch`] —
+//!   a single-model `NamedService`, or a `Router` with its hot-swap and
+//!   revision attribution.
 //! * **Gated construction**: [`NetServer::spawn`] refuses configs the
 //!   `mlcnn-check` `N0xx` lints deny, the way `Service::spawn` is
 //!   gated by `V0xx`.
@@ -42,6 +39,10 @@
 //!   concurrent connections from a handful of threads, with order,
 //!   correlation-id, and bitwise-parity checking — the engine behind
 //!   `mlcnn-loadgen --sweep` and the integration tests.
+//!
+//! Binaries: `mlcnn-served` (the server), `mlcnn-loadgen` (load and
+//! parity harness), and `mlcnn-registry-smoke` (a registry hot-swap
+//! rehearsed under live load).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -16,9 +16,8 @@ const LISTENER_TOKEN: Token = Token(0);
 const SHUTDOWN_TOKEN: Token = Token(1);
 
 /// An event-driven frame-protocol server over any [`Dispatch`] backend
-/// (a [`mlcnn_serve::NamedService`] or a [`mlcnn_serve::Router`] — so
-/// multi-model routing, hot-swap, and revision attribution all carry
-/// over unchanged from the blocking transport).
+/// (a [`mlcnn_serve::NamedService`], or a [`mlcnn_serve::Router`] with
+/// multi-model routing, hot-swap, and revision attribution).
 ///
 /// One acceptor thread accepts nonblocking sockets and deals them
 /// round-robin to `shards` reactor threads; every connection lives on

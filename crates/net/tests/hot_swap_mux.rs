@@ -2,9 +2,8 @@
 //! rolling back a revision under concurrent multiplexed load loses
 //! zero requests, and every response is bitwise attributable to
 //! exactly one revision — never a blend, never a third thing. The
-//! `Router` is wired under [`NetServer`] exactly as under the blocking
-//! transport, so this is the proof that hot-swap and revision
-//! attribution survived the transport change.
+//! `Router` is wired under [`NetServer`] exactly as `mlcnn-served
+//! --registry` wires it.
 
 use std::path::PathBuf;
 use std::sync::Arc;

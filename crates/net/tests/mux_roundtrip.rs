@@ -40,7 +40,7 @@ fn inputs_and_expected(n: usize) -> (Vec<Tensor<f32>>, Vec<Tensor<f32>>) {
     (inputs, expected)
 }
 
-fn spawn_server(cfg: NetConfig, queue: usize) -> NetServer {
+fn spawn_server(cfg: NetConfig, queue: usize) -> (NetServer, Arc<NamedService>) {
     let model = find_model(MODEL).unwrap();
     let plan = Arc::new(model.compile(Precision::Fp32).unwrap());
     let svc = Service::spawn(
@@ -52,14 +52,15 @@ fn spawn_server(cfg: NetConfig, queue: usize) -> NetServer {
     .unwrap();
     let backend = Arc::new(NamedService::new(MODEL, svc));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    NetServer::spawn(listener, backend, cfg).unwrap()
+    let server = NetServer::spawn(listener, Arc::clone(&backend), cfg).unwrap();
+    (server, backend)
 }
 
 /// The headline: 200 pipelined connections, every response present,
 /// ordered, attributed, and bitwise equal to the plan's output.
 #[test]
 fn mux_load_round_trips_clean_with_parity() {
-    let server = spawn_server(
+    let (server, backend) = spawn_server(
         NetConfig::default()
             .with_shards(2)
             .with_queue_capacity(4096),
@@ -78,6 +79,9 @@ fn mux_load_round_trips_clean_with_parity() {
     assert!(report.clean(), "dirty run: {report:?}");
     assert_eq!(report.sent, 200 * 8);
     assert_eq!(report.received, 200 * 8);
+    let snap = backend.service().metrics();
+    assert!(snap.fully_drained(), "requests unaccounted for: {snap:?}");
+    assert_eq!(snap.submitted, 200 * 8);
     server.shutdown();
 }
 
@@ -89,7 +93,7 @@ fn pipelining_beyond_server_cap_is_backpressured_not_lossy() {
     let cfg = NetConfig::default()
         .with_max_pipeline(4)
         .with_queue_capacity(4096);
-    let server = spawn_server(cfg, 4096);
+    let (server, _) = spawn_server(cfg, 4096);
     let (inputs, expected) = inputs_and_expected(2);
 
     let mut opts = MuxOptions::new(MODEL, inputs);
@@ -106,11 +110,11 @@ fn pipelining_beyond_server_cap_is_backpressured_not_lossy() {
 }
 
 /// The blocking `mlcnn_serve::Client` speaks to the event-driven
-/// transport unchanged: inference, metrics, and the error path for an
-/// unknown model all behave as on the threads transport.
+/// transport: inference, metrics, and the error path for an unknown
+/// model, all on one connection.
 #[test]
 fn blocking_client_interops_with_event_driven_server() {
-    let server = spawn_server(NetConfig::default(), 256);
+    let (server, _) = spawn_server(NetConfig::default(), 256);
     let (inputs, expected) = inputs_and_expected(1);
 
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -144,7 +148,7 @@ fn admission_cap_drops_excess_connections() {
     let cfg = NetConfig::default()
         .with_max_connections(2)
         .with_idle_timeout(Duration::from_secs(60));
-    let server = spawn_server(cfg, 256);
+    let (server, _) = spawn_server(cfg, 256);
 
     let mut sockets = Vec::new();
     for _ in 0..6 {
@@ -179,7 +183,7 @@ fn admission_cap_drops_excess_connections() {
 #[test]
 fn idle_connections_are_reaped_but_mid_frame_ones_are_not() {
     let cfg = NetConfig::default().with_idle_timeout(Duration::from_millis(150));
-    let server = spawn_server(cfg, 256);
+    let (server, _) = spawn_server(cfg, 256);
 
     let idle = TcpStream::connect(server.local_addr()).unwrap();
     let mut mid_frame = TcpStream::connect(server.local_addr()).unwrap();
@@ -211,7 +215,7 @@ fn idle_connections_are_reaped_but_mid_frame_ones_are_not() {
 /// connection — and only that connection.
 #[test]
 fn malformed_frames_close_only_their_connection() {
-    let server = spawn_server(NetConfig::default(), 256);
+    let (server, _) = spawn_server(NetConfig::default(), 256);
     let (inputs, expected) = inputs_and_expected(1);
 
     let mut bad = TcpStream::connect(server.local_addr()).unwrap();

@@ -1,14 +1,16 @@
-//! End-to-end TCP test: a real listener on an ephemeral port, the
-//! blocking client, and bitwise parity with the reference plan through
-//! the full wire → service → wire path.
+//! End-to-end TCP test: a [`NetServer`] on an ephemeral port, the
+//! blocking client, bitwise parity with the reference plan through the
+//! full wire → service → wire path, and request accounting that adds up
+//! once every response is back.
 
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
 use mlcnn_core::Workspace;
+use mlcnn_net::{NetConfig, NetServer};
 use mlcnn_quant::Precision;
-use mlcnn_serve::{find_model, serve_listener, Client, NamedService, ServeConfig, Service};
+use mlcnn_serve::{find_model, Client, NamedService, ServeConfig, Service};
 use mlcnn_tensor::{init, Shape4, Tensor};
 
 fn item(shape: Shape4, seed: u64) -> Tensor<f32> {
@@ -29,12 +31,8 @@ fn tcp_round_trip_matches_plan_forward() {
     let backend = Arc::new(NamedService::new(model.name, svc));
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let acceptor = Arc::clone(&backend);
-    // the accept loop blocks forever; the thread dies with the process
-    std::thread::spawn(move || {
-        let _ = serve_listener(listener, acceptor);
-    });
+    let server = NetServer::spawn(listener, Arc::clone(&backend), NetConfig::default()).unwrap();
+    let addr = server.local_addr();
 
     // several clients in parallel, each checking bitwise parity
     std::thread::scope(|s| {
@@ -84,4 +82,9 @@ fn tcp_round_trip_matches_plan_forward() {
     // admin frames against a registry-less server: typed refusal
     let err = client.publish("lenet5", 2).unwrap_err();
     assert!(err.to_string().contains("no registry"), "{err}");
+
+    // every request that entered the queue got exactly one outcome
+    let snap = backend.service().metrics();
+    assert!(snap.fully_drained(), "requests unaccounted for: {snap:?}");
+    server.shutdown();
 }

@@ -23,7 +23,7 @@ impl Network {
     }
 
     /// Attach the [`LayerSpec`] blueprint this network was built from, so
-    /// inference compilers (`FusedNetwork`, the execution plan) can be
+    /// inference compilers (the execution plan) can be
     /// derived without the caller re-threading the spec list.
     /// `build_network` does this automatically.
     pub fn with_specs(mut self, specs: Vec<LayerSpec>) -> Self {

@@ -301,7 +301,7 @@ fn build_with_rng(specs: &[LayerSpec], input: Shape4, rng: &mut StdRng) -> Resul
 pub fn build_network(specs: &[LayerSpec], input: Shape4, seed: u64) -> Result<Network> {
     let mut rng = init::rng(seed);
     // record the blueprint on the top-level network so downstream compilers
-    // (FusedNetwork, ExecutionPlan) can be built straight from it
+    // (ExecutionPlan) can be built straight from it
     build_with_rng(specs, input, &mut rng).map(|net| net.with_specs(specs.to_vec()))
 }
 

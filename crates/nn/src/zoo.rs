@@ -230,7 +230,7 @@ const INCEPTIONS: [(&str, InceptionPlan); 9] = [
 /// concatenated output feeds a pooling stage — 3b, 4e (2×2) and 5b (the
 /// final 8×8 global average pool) — have their four branch-final convs
 /// marked fused: 3 modules × 4 branches = the paper's "twelve layers in
-/// GoogLeNet [that] can benefit".
+/// GoogLeNet \[that\] can benefit".
 pub fn googlenet(classes: usize) -> ModelDesc {
     let mut convs = Vec::new();
     // Stem (CIFAR-scale): 3→64 (3x3), 64→64 (1x1), 64→192 (3x3), all at 32.
@@ -274,7 +274,7 @@ pub fn googlenet(classes: usize) -> ModelDesc {
 /// DenseNet-121 adapted to 32×32 inputs. Dense blocks of 6/12/24/16
 /// bottleneck layers (growth 32); the three transition blocks each end in
 /// a 1×1 conv followed by 2×2 average pooling — the "three layers in the
-/// transition blocks [that] can benefit from MLCNN's optimization".
+/// transition blocks \[that\] can benefit from MLCNN's optimization".
 /// Those 1×1 fused layers are also why the paper measures *zero* addition
 /// reuse on DenseNet (K = 1 disables LAR/GAR).
 pub fn densenet121(classes: usize) -> ModelDesc {

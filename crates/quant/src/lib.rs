@@ -8,7 +8,7 @@
 //! None of that machinery exists in the offline crate set, so it is built
 //! here from scratch:
 //!
-//! * [`f16`] — software IEEE 754 binary16 with round-to-nearest-even
+//! * [`f16`](mod@f16) — software IEEE 754 binary16 with round-to-nearest-even
 //!   conversion and arithmetic that rounds through binary16 after every
 //!   operation (matching what FP16 MAC hardware produces for single
 //!   operations). Implements `mlcnn_tensor::Scalar`, so every kernel in the

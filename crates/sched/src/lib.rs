@@ -16,7 +16,7 @@
 //! * [`admission::AdmissionPolicy`] — cost-based admission control:
 //!   a guaranteed request provably unable to meet its budget is rejected
 //!   at submit time instead of queued and shed later.
-//! * [`autotune`] — sizes `(max_batch, max_wait)` per model from the
+//! * [`autotune`](mod@autotune) — sizes `(max_batch, max_wait)` per model from the
 //!   oracle's batch-latency curve.
 //! * [`arrivals::ArrivalSchedule`] — deterministic seeded open-loop
 //!   arrival schedules (uniform + bursty) so overload experiments

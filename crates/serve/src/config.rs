@@ -14,7 +14,7 @@ pub const DEFAULT_ARENA_BUDGET_BYTES: usize = 1 << 30;
 ///
 /// Validated against the `mlcnn-check` `V0xx` codes before any thread is
 /// spawned — [`crate::Service::spawn`] refuses a config the lint denies,
-/// the same construction-gating contract `FusedNetwork::compile` has with
+/// the same construction-gating contract `ExecutionPlan::compile` has with
 /// the S/F codes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {

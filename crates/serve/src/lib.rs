@@ -39,12 +39,12 @@
 //!   live traffic with in-flight requests draining on the old plan and
 //!   zero lost submissions.
 //!
-//! The [`wire`]/[`net`] modules add a length-prefixed TCP front-end
-//! (`mlcnn-served`, single-model or `--registry` mode) and blocking
-//! client; `mlcnn-loadgen` drives either the in-process service or a
-//! remote server and writes `BENCH_serve.json`; `mlcnn-pack` packs the
-//! zoo (or trained checkpoints) into registry artifacts; and
-//! `mlcnn-registry-smoke` rehearses a hot-swap under load end-to-end.
+//! The [`wire`] module defines the length-prefixed frame protocol and
+//! [`net`] the [`Dispatch`] backend contract plus a blocking [`Client`];
+//! the event-driven server itself (`mlcnn-served`, single-model or
+//! `--registry` mode) lives in `mlcnn-net`. `mlcnn-pack` packs the zoo
+//! (or trained checkpoints) into registry artifacts, and `mlcnn-density`
+//! measures copy-on-write revision density.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -65,7 +65,7 @@ pub use metrics::{ClassSnapshot, LatencyHistogram, Metrics, MetricsSnapshot};
 pub use microbatch::{Arrival, BatchPolicy, Microbatcher};
 pub use mlcnn_sched::{SloClass, SloSpec};
 pub use models::{find_model, serving_zoo, ServeModel, SERVE_SEED};
-pub use net::{serve_listener, Client, Dispatch, NamedService};
+pub use net::{Client, Dispatch, NamedService};
 pub use router::Router;
 pub use service::{CompletionNotify, Service, Ticket};
 pub use wire::{read_frame, write_frame, Frame, MAX_FRAME_BYTES, MAX_WIRE_MODEL_NAME};

@@ -1,23 +1,16 @@
-//! Blocking TCP front-end over a [`Dispatch`] backend: a
-//! thread-per-connection listener speaking the [`crate::wire`] frame
-//! protocol, and a matching synchronous [`Client`].
+//! The request-backend contract the network front-end serves over,
+//! its single-model implementation, and a synchronous [`Client`] for
+//! the [`crate::wire`] frame protocol.
 //!
-//! The listener is generic over *what* serves the requests. A
-//! single-model server wraps its [`Service`] in [`NamedService`]; a
-//! registry server plugs in [`crate::router::Router`], which adds
-//! multi-model routing and hot-swap. Either way each connection runs a
-//! reader thread (this function's caller thread) and one writer thread.
-//! The reader submits inference frames to the backend *without waiting*
-//! and hands the resulting tickets to the writer in submission order; the
-//! writer resolves them one by one. That keeps responses in request order
-//! while still letting a pipelining client have many requests coalescing
-//! in the micro-batcher at once.
+//! The front-end (`mlcnn_net::NetServer`) is generic over *what* serves
+//! the requests. A single-model server wraps its [`Service`] in
+//! [`NamedService`]; a registry server plugs in
+//! [`crate::router::Router`], which adds multi-model routing and
+//! hot-swap.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
+use std::io::{self, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread;
 
 use mlcnn_sched::SloSpec;
 use mlcnn_tensor::Tensor;
@@ -30,12 +23,9 @@ use crate::wire::{read_frame, write_frame, Frame};
 /// model name, snapshots metrics, and (for registry servers) switches
 /// revisions.
 pub trait Dispatch: Send + Sync + 'static {
-    /// Submit one input item to `model` (empty = the only model).
-    fn submit(&self, model: &str, input: Tensor<f32>) -> Result<Ticket, ServeError>;
-
-    /// [`Dispatch::submit`] with a completion hook for event-driven
-    /// front-ends: `notify.completed(tag)` fires once the ticket holds
-    /// the response (see [`crate::Service::submit_notified`]).
+    /// Submit one input item to `model` (empty = the only model) with a
+    /// completion hook: `notify.completed(tag)` fires once the ticket
+    /// holds the response (see [`crate::Service::submit_notified`]).
     fn submit_notified(
         &self,
         model: &str,
@@ -90,16 +80,18 @@ impl NamedService {
     pub fn service(&self) -> &Service {
         &self.svc
     }
+
+    /// Accept the empty name or this service's own name.
+    fn check_model(&self, model: &str) -> Result<(), ServeError> {
+        if model.is_empty() || model == self.name {
+            Ok(())
+        } else {
+            Err(ServeError::UnknownModel(model.to_string()))
+        }
+    }
 }
 
 impl Dispatch for NamedService {
-    fn submit(&self, model: &str, input: Tensor<f32>) -> Result<Ticket, ServeError> {
-        if !model.is_empty() && model != self.name {
-            return Err(ServeError::UnknownModel(model.to_string()));
-        }
-        self.svc.submit(input)
-    }
-
     fn submit_notified(
         &self,
         model: &str,
@@ -107,9 +99,7 @@ impl Dispatch for NamedService {
         notify: Arc<dyn CompletionNotify>,
         tag: u64,
     ) -> Result<Ticket, ServeError> {
-        if !model.is_empty() && model != self.name {
-            return Err(ServeError::UnknownModel(model.to_string()));
-        }
+        self.check_model(model)?;
         self.svc.submit_notified(input, notify, tag)
     }
 
@@ -120,9 +110,7 @@ impl Dispatch for NamedService {
         spec: SloSpec,
         done: Option<(Arc<dyn CompletionNotify>, u64)>,
     ) -> Result<Ticket, ServeError> {
-        if !model.is_empty() && model != self.name {
-            return Err(ServeError::UnknownModel(model.to_string()));
-        }
+        self.check_model(model)?;
         self.svc.submit_slo(input, spec, done)
     }
 
@@ -141,136 +129,6 @@ impl Dispatch for NamedService {
             "this server has no registry; rollback is unavailable".into(),
         ))
     }
-}
-
-/// What the writer thread must produce for one inbound frame.
-enum Outcome {
-    /// An in-flight inference; resolve the ticket, then answer `id`.
-    Pending(u64, Ticket),
-    /// Already-final response (metrics, admin, submission errors).
-    Immediate(Frame),
-}
-
-/// Accept connections on `listener` forever, serving each on its own
-/// thread. Returns only when `accept` fails fatally.
-pub fn serve_listener<D: Dispatch>(listener: TcpListener, backend: Arc<D>) -> io::Result<()> {
-    loop {
-        let (stream, peer) = listener.accept()?;
-        let backend = Arc::clone(&backend);
-        thread::Builder::new()
-            .name(format!("mlcnn-conn-{peer}"))
-            .spawn(move || {
-                // Connection errors (resets, protocol violations) end that
-                // connection only; the listener keeps serving.
-                let _ = handle_conn(stream, &*backend);
-            })?;
-    }
-}
-
-/// Serve one connection until EOF or an I/O error.
-fn handle_conn(stream: TcpStream, backend: &dyn Dispatch) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let write_half = stream.try_clone()?;
-    let (tx, rx) = mpsc::channel::<Outcome>();
-
-    let writer = thread::Builder::new()
-        .name("mlcnn-conn-writer".into())
-        .spawn(move || -> io::Result<()> {
-            let mut w = BufWriter::new(write_half);
-            while let Ok(outcome) = rx.recv() {
-                let frame = match outcome {
-                    Outcome::Immediate(frame) => frame,
-                    Outcome::Pending(id, ticket) => match ticket.wait() {
-                        Ok(output) => Frame::InferOk { id, output },
-                        Err(e) => Frame::Error {
-                            id,
-                            message: e.to_string(),
-                        },
-                    },
-                };
-                write_frame(&mut w, &frame)?;
-                w.flush()?;
-            }
-            Ok(())
-        })?;
-
-    let mut r = BufReader::new(stream);
-    let read_result: io::Result<()> = loop {
-        let frame = match read_frame(&mut r) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        };
-        let outcome = match frame {
-            Frame::InferRequest { id, model, input } => match backend.submit(&model, input) {
-                Ok(ticket) => Outcome::Pending(id, ticket),
-                Err(e) => Outcome::Immediate(Frame::Error {
-                    id,
-                    message: e.to_string(),
-                }),
-            },
-            Frame::InferSloRequest {
-                id,
-                model,
-                class,
-                budget_micros,
-                input,
-            } => {
-                let spec = SloSpec::from_wire(class, budget_micros);
-                match backend.submit_slo(&model, input, spec, None) {
-                    Ok(ticket) => Outcome::Pending(id, ticket),
-                    Err(e) => Outcome::Immediate(Frame::Error {
-                        id,
-                        message: e.to_string(),
-                    }),
-                }
-            }
-            Frame::MetricsRequest { id } => Outcome::Immediate(Frame::MetricsOk {
-                id,
-                json: backend.metrics_json(),
-            }),
-            Frame::PublishRequest {
-                id,
-                model,
-                revision,
-            } => Outcome::Immediate(match backend.publish(&model, revision) {
-                Ok((active, previous)) => Frame::AdminOk {
-                    id,
-                    model,
-                    active,
-                    previous,
-                },
-                Err(e) => Frame::Error {
-                    id,
-                    message: e.to_string(),
-                },
-            }),
-            Frame::RollbackRequest { id, model } => {
-                Outcome::Immediate(match backend.rollback(&model) {
-                    Ok((active, previous)) => Frame::AdminOk {
-                        id,
-                        model,
-                        active,
-                        previous,
-                    },
-                    Err(e) => Frame::Error {
-                        id,
-                        message: e.to_string(),
-                    },
-                })
-            }
-            other => Outcome::Immediate(Frame::Error {
-                id: other.id(),
-                message: "clients may only send request frames".into(),
-            }),
-        };
-        if tx.send(outcome).is_err() {
-            break Ok(()); // writer hit an I/O error and exited
-        }
-    };
-    drop(tx); // lets the writer drain in-flight responses and exit
-    let write_result = writer.join().unwrap_or(Ok(()));
-    read_result.and(write_result)
 }
 
 /// Blocking client for the `mlcnn-served` frame protocol. One request in

@@ -30,6 +30,7 @@ use mlcnn_core::WorkspacePool;
 use mlcnn_registry::{ModelRegistry, RegistryError};
 use mlcnn_sched::SloSpec;
 use mlcnn_tensor::Tensor;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -130,26 +131,7 @@ impl Router {
     /// ticket. Retries transparently when a hot-swap closes the drawn
     /// endpoint mid-submission, so swaps never lose requests.
     pub fn submit(&self, model: &str, input: Tensor<f32>) -> Result<(u64, Ticket), ServeError> {
-        let mut last = ServeError::ShuttingDown;
-        for _ in 0..SWAP_RETRIES {
-            let endpoint = self
-                .read_endpoints()
-                .get(model)
-                .cloned()
-                .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-            match endpoint.svc.submit(input.clone()) {
-                Ok(ticket) => return Ok((endpoint.revision, ticket)),
-                // the endpoint we drew was swapped out and is draining;
-                // the map already holds (or is about to hold) its
-                // replacement — re-read and retry
-                Err(ServeError::ShuttingDown) => {
-                    last = ServeError::ShuttingDown;
-                    std::thread::yield_now();
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last)
+        self.submit_with(model, |svc| svc.submit(input.clone()))
     }
 
     /// [`Router::submit`] with a completion hook (see
@@ -164,26 +146,9 @@ impl Router {
         notify: Arc<dyn CompletionNotify>,
         tag: u64,
     ) -> Result<(u64, Ticket), ServeError> {
-        let mut last = ServeError::ShuttingDown;
-        for _ in 0..SWAP_RETRIES {
-            let endpoint = self
-                .read_endpoints()
-                .get(model)
-                .cloned()
-                .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-            match endpoint
-                .svc
-                .submit_notified(input.clone(), Arc::clone(&notify), tag)
-            {
-                Ok(ticket) => return Ok((endpoint.revision, ticket)),
-                Err(ServeError::ShuttingDown) => {
-                    last = ServeError::ShuttingDown;
-                    std::thread::yield_now();
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        Err(last)
+        self.submit_with(model, |svc| {
+            svc.submit_notified(input.clone(), Arc::clone(&notify), tag)
+        })
     }
 
     /// [`Router::submit`] under an explicit SLO spec, optionally with a
@@ -197,26 +162,53 @@ impl Router {
         spec: SloSpec,
         done: Option<(Arc<dyn CompletionNotify>, u64)>,
     ) -> Result<(u64, Ticket), ServeError> {
-        let mut last = ServeError::ShuttingDown;
+        self.submit_with(model, |svc| {
+            let done = done
+                .as_ref()
+                .map(|(notify, tag)| (Arc::clone(notify), *tag));
+            svc.submit_slo(input.clone(), spec, done)
+        })
+    }
+
+    /// The hot-swap retry loop behind every submission form: draw
+    /// `model`'s endpoint, run `submit` against its service, and return
+    /// the accepting revision with the ticket.
+    fn submit_with(
+        &self,
+        model: &str,
+        mut submit: impl FnMut(&Service) -> Result<Ticket, ServeError>,
+    ) -> Result<(u64, Ticket), ServeError> {
         for _ in 0..SWAP_RETRIES {
             let endpoint = self
                 .read_endpoints()
                 .get(model)
                 .cloned()
                 .ok_or_else(|| ServeError::UnknownModel(model.to_string()))?;
-            let done = done
-                .as_ref()
-                .map(|(notify, tag)| (Arc::clone(notify), *tag));
-            match endpoint.svc.submit_slo(input.clone(), spec, done) {
+            match submit(&endpoint.svc) {
                 Ok(ticket) => return Ok((endpoint.revision, ticket)),
-                Err(ServeError::ShuttingDown) => {
-                    last = ServeError::ShuttingDown;
-                    std::thread::yield_now();
-                }
+                // the endpoint we drew was swapped out and is draining;
+                // the map already holds (or is about to hold) its
+                // replacement — re-read and retry
+                Err(ServeError::ShuttingDown) => std::thread::yield_now(),
                 Err(other) => return Err(other),
             }
         }
-        Err(last)
+        Err(ServeError::ShuttingDown)
+    }
+
+    /// Resolve a wire model name: the empty name addresses the only
+    /// model, which is unambiguous only on a single-model registry.
+    fn resolve<'a>(&self, model: &'a str) -> Result<Cow<'a, str>, ServeError> {
+        if !model.is_empty() {
+            return Ok(Cow::Borrowed(model));
+        }
+        let endpoints = self.read_endpoints();
+        match (endpoints.len(), endpoints.keys().next()) {
+            (1, Some(only)) => Ok(Cow::Owned(only.clone())),
+            _ => Err(ServeError::UnknownModel(
+                "(empty — this server routes multiple models; name one)".into(),
+            )),
+        }
     }
 
     /// Submit and block for the response.
@@ -320,22 +312,6 @@ impl Router {
 }
 
 impl Dispatch for Router {
-    fn submit(&self, model: &str, input: Tensor<f32>) -> Result<Ticket, ServeError> {
-        if model.is_empty() {
-            // the empty name is only unambiguous on a single-model registry
-            let endpoints = self.read_endpoints();
-            if endpoints.len() == 1 {
-                let only = endpoints.keys().next().cloned().expect("len checked");
-                drop(endpoints);
-                return Router::submit(self, &only, input).map(|(_, t)| t);
-            }
-            return Err(ServeError::UnknownModel(
-                "(empty — this server routes multiple models; name one)".into(),
-            ));
-        }
-        Router::submit(self, model, input).map(|(_, t)| t)
-    }
-
     fn submit_notified(
         &self,
         model: &str,
@@ -343,19 +319,8 @@ impl Dispatch for Router {
         notify: Arc<dyn CompletionNotify>,
         tag: u64,
     ) -> Result<Ticket, ServeError> {
-        if model.is_empty() {
-            // the empty name is only unambiguous on a single-model registry
-            let endpoints = self.read_endpoints();
-            if endpoints.len() == 1 {
-                let only = endpoints.keys().next().cloned().expect("len checked");
-                drop(endpoints);
-                return Router::submit_notified(self, &only, input, notify, tag).map(|(_, t)| t);
-            }
-            return Err(ServeError::UnknownModel(
-                "(empty — this server routes multiple models; name one)".into(),
-            ));
-        }
-        Router::submit_notified(self, model, input, notify, tag).map(|(_, t)| t)
+        let model = self.resolve(model)?;
+        Router::submit_notified(self, &model, input, notify, tag).map(|(_, t)| t)
     }
 
     fn submit_slo(
@@ -365,19 +330,8 @@ impl Dispatch for Router {
         spec: SloSpec,
         done: Option<(Arc<dyn CompletionNotify>, u64)>,
     ) -> Result<Ticket, ServeError> {
-        if model.is_empty() {
-            // the empty name is only unambiguous on a single-model registry
-            let endpoints = self.read_endpoints();
-            if endpoints.len() == 1 {
-                let only = endpoints.keys().next().cloned().expect("len checked");
-                drop(endpoints);
-                return Router::submit_slo(self, &only, input, spec, done).map(|(_, t)| t);
-            }
-            return Err(ServeError::UnknownModel(
-                "(empty — this server routes multiple models; name one)".into(),
-            ));
-        }
-        Router::submit_slo(self, model, input, spec, done).map(|(_, t)| t)
+        let model = self.resolve(model)?;
+        Router::submit_slo(self, &model, input, spec, done).map(|(_, t)| t)
     }
 
     fn metrics_json(&self) -> String {

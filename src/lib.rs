@@ -15,8 +15,8 @@
 //! | [`core`] | `mlcnn-core` | the MLCNN contribution (reorder + fuse) |
 //! | [`accel`] | `mlcnn-accel` | accelerator cycle & energy model |
 //! | [`check`] | `mlcnn-check` | static analysis over specs, configs, tilings |
-//! | [`serve`] | `mlcnn-serve` | micro-batching inference service + TCP front-end |
-//! | [`net`] | `mlcnn-net` | event-driven, sharded epoll transport + mux client |
+//! | [`serve`] | `mlcnn-serve` | micro-batching inference service, wire protocol + model router |
+//! | [`net`] | `mlcnn-net` | event-driven, sharded epoll server (`mlcnn-served`) + mux client |
 //!
 //! ## The thirty-second tour
 //!
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use mlcnn_accel::config::AcceleratorConfig;
     pub use mlcnn_core::reorder::{reorder_activation_pool, to_all_conv_full};
     pub use mlcnn_core::{
-        EvalPlan, ExecutionPlan, FusedConvPool, FusedNetwork, OpCounts, PlanOptions, Workspace,
+        EvalPlan, ExecutionPlan, FusedConvPool, OpCounts, PlanOptions, Workspace,
     };
     pub use mlcnn_nn::spec::build_network;
     pub use mlcnn_nn::train::{evaluate, fit, TrainConfig};

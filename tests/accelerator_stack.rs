@@ -1,5 +1,5 @@
 //! Integration: accelerator-stack consistency — the tile-level trace, the
-//! aggregate cycle model and the whole-model fused executor must tell one
+//! aggregate cycle model and the fused execution plan must tell one
 //! coherent story.
 
 use mlcnn::accel::config::AcceleratorConfig;
@@ -7,10 +7,13 @@ use mlcnn::accel::cycle::{simulate_layer, LayerContext};
 use mlcnn::accel::dataflow::search_tiling;
 use mlcnn::accel::energy::EnergyModel;
 use mlcnn::accel::trace::trace_layer;
-use mlcnn::core::fused_net::FusedNetwork;
+use mlcnn::check::{OpView, StepView};
+use mlcnn::core::opcount::dense_layer_counts;
 use mlcnn::core::reorder::reorder_activation_pool;
+use mlcnn::core::{EvalPlan, OpCounts, PlanOptions, Workspace};
 use mlcnn::nn::spec::build_network;
-use mlcnn::nn::zoo;
+use mlcnn::nn::zoo::{self, ConvLayerGeom, PoolAfter};
+use mlcnn::sched::step_counts;
 use mlcnn::tensor::{init, Shape4};
 
 #[test]
@@ -72,12 +75,12 @@ fn fused_network_and_trained_network_agree_after_training() {
     .unwrap();
     let acc_layerwise = evaluate(&mut net, &test, &[1], 8).unwrap().at(1).unwrap();
 
-    let params = net.export_params();
-    let fused = FusedNetwork::compile(&specs, &params, input).unwrap();
+    let plan = net.eval_plan(PlanOptions::default()).unwrap();
+    let mut ws = Workspace::for_plan(&plan, 8);
     let mut hits = 0usize;
     let mut total = 0usize;
     for batch in test.batches(8) {
-        let logits = fused.forward(&batch.images).unwrap();
+        let logits = plan.forward(&batch.images, &mut ws).unwrap();
         let preds = mlcnn::nn::loss::argmax_rows(&logits);
         hits += preds
             .iter()
@@ -93,20 +96,68 @@ fn fused_network_and_trained_network_agree_after_training() {
     );
 }
 
+/// The conv layer a conv-bearing plan step stands for, as a dense CNN
+/// would run it (`pool` = the avg-pool a fused step absorbed).
+fn conv_geom(
+    step: &StepView,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    pool: Option<usize>,
+) -> ConvLayerGeom {
+    ConvLayerGeom {
+        name: "step".into(),
+        in_ch: step.in_shape.c,
+        out_ch: step.out_shape.c,
+        in_h: step.in_shape.h,
+        in_w: step.in_shape.w,
+        k,
+        stride,
+        pad,
+        pool: pool.map(|p| PoolAfter {
+            window: p,
+            stride: p,
+            avg: true,
+        }),
+    }
+}
+
 #[test]
 fn fused_network_op_savings_match_the_accelerator_story() {
     let specs = reorder_activation_pool(&zoo::lenet5_spec(10)).specs;
     let input = Shape4::new(1, 3, 32, 32);
     let mut net = build_network(&specs, input, 4).unwrap();
-    let params = net.export_params();
-    let fused = FusedNetwork::compile(&specs, &params, input).unwrap();
-    let (mlcnn_ops, dense_ops) = fused.conv_op_counts();
+    let plan = net.eval_plan(PlanOptions::default()).unwrap();
+    // MLCNN bill: what the compiled conv steps execute. Dense bill: the
+    // same conv (+ absorbed avg-pool) layers run as a dense CNN.
+    let mut mlcnn_ops = OpCounts::zero();
+    let mut dense_ops = OpCounts::zero();
+    for step in &plan.view().steps {
+        let dense = match step.op {
+            OpView::Fused {
+                k,
+                stride,
+                pad,
+                pool,
+                ..
+            } => conv_geom(step, k, stride, pad, Some(pool)),
+            OpView::Conv { k, stride, pad, .. } => conv_geom(step, k, stride, pad, None),
+            _ => continue,
+        };
+        mlcnn_ops += step_counts(step);
+        dense_ops += dense_layer_counts(&dense);
+    }
     // the fused stages pay 1/4 of the multiplications; C3 (unfused)
     // contributes equally to both sides
     assert!(mlcnn_ops.mults < dense_ops.mults);
+    assert!(mlcnn_ops.adds < dense_ops.adds);
+    let ratio = mlcnn_ops.mults as f64 / dense_ops.mults as f64;
+    assert!(ratio < 0.7, "mult ratio {ratio}");
     let x = init::uniform(input, -1.0, 1.0, &mut init::rng(1));
     // functional equality once more, through the public facade
-    let a = fused.forward(&x).unwrap();
+    let a = plan
+        .forward(&x, &mut Workspace::for_plan(&plan, 1))
+        .unwrap();
     let b = net.forward(&x).unwrap();
     assert!(a.approx_eq(&b, 1e-3));
 }

@@ -7,7 +7,7 @@
 
 use mlcnn::accel::dataflow::Tiling;
 use mlcnn::check::{check_compile, check_shapes, lint_network, Code, Reporter, Severity};
-use mlcnn::core::FusedNetwork;
+use mlcnn::core::{ExecutionPlan, PlanOptions};
 use mlcnn::nn::spec::{build_network, propagate_shape};
 use mlcnn::nn::zoo::ConvLayerGeom;
 use mlcnn::nn::LayerSpec;
@@ -77,7 +77,7 @@ proptest! {
                 .expect("check_compile implies buildable");
             let params = net.export_params();
             prop_assert!(
-                FusedNetwork::compile(&specs, &params, input).is_ok(),
+                ExecutionPlan::compile(&specs, &params, input, PlanOptions::default()).is_ok(),
                 "check_compile accepted but compile rejected: {:?}",
                 specs
             );

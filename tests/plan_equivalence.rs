@@ -1,13 +1,14 @@
-//! Golden equivalence for the execution plan: `ExecutionPlan::forward`
-//! must be *bit-identical* to every legacy forward path it replaced —
-//! the layerwise `Network`, the `FusedNetwork` pipeline, and the
-//! quantized layerwise loop — across the compilable model zoo, plus a
-//! proptest that anything `mlcnn-check` accepts compiles to a plan that
-//! agrees with the trainable network.
+//! Golden equivalence for the execution plan: the layerwise
+//! `ExecutionPlan::forward` must be *bit-identical* to every legacy
+//! forward path it replaced — the layerwise `Network` and the quantized
+//! layerwise loop — and the fused plan must agree with `Network::forward`
+//! to rounding, across the compilable model zoo; plus a proptest that
+//! anything `mlcnn-check` accepts compiles to a plan that agrees with the
+//! trainable network.
 
 use mlcnn::core::quantized::{forward_quantized, quantize_network_weights};
 use mlcnn::core::reorder::reorder_activation_pool;
-use mlcnn::core::{EvalPlan, ExecutionPlan, FusedNetwork, PlanOptions, Workspace, WorkspacePool};
+use mlcnn::core::{EvalPlan, ExecutionPlan, PlanOptions, Workspace, WorkspacePool};
 use mlcnn::nn::spec::build_network;
 use mlcnn::nn::{zoo, LayerSpec};
 use mlcnn::quant::Precision;
@@ -85,18 +86,22 @@ fn layerwise_plan_is_bit_identical_to_network_forward() {
 }
 
 #[test]
-fn fused_plan_is_bit_identical_to_fused_network() {
+fn fused_plan_matches_network_forward() {
+    // the fused operator reassociates the conv-pool sums (RME), so the
+    // fused plan agrees with the layerwise network to rounding, not bits
     for (name, specs, input) in compilable_zoo() {
         let mut net = build_network(&specs, input, 43).unwrap();
-        let params = net.export_params();
-        let fused = FusedNetwork::compile(&specs, &params, input).unwrap();
-        let plan = ExecutionPlan::compile(&specs, &params, input, PlanOptions::default()).unwrap();
-        assert_eq!(plan.fused_op_count(), fused.fused_stage_count(), "{name}");
+        let plan = net.eval_plan(PlanOptions::default()).unwrap();
         let x = batch_input(input, 2, 11);
-        let a = fused.forward(&x).unwrap();
+        let legacy = net.forward(&x).unwrap();
         let mut ws = Workspace::for_plan(&plan, 2);
-        let b = plan.forward(&x, &mut ws).unwrap();
-        assert_eq!(a, b, "{name}: fused plan diverges from FusedNetwork");
+        let planned = plan.forward(&x, &mut ws).unwrap();
+        assert_eq!(planned.shape(), legacy.shape(), "{name}");
+        assert!(
+            planned.approx_eq(&legacy, 1e-3),
+            "{name}: fused plan diverges by {}",
+            planned.max_abs_diff(&legacy).unwrap()
+        );
     }
 }
 

@@ -2,9 +2,9 @@
 //! "process" (fresh network object), and keep every downstream consumer
 //! (plain eval, quantized eval, fused compilation) in exact agreement.
 
-use mlcnn::core::fused_net::FusedNetwork;
 use mlcnn::core::quantized::evaluate_quantized;
 use mlcnn::core::reorder::reorder_activation_pool;
+use mlcnn::core::{EvalPlan, PlanOptions, Workspace};
 use mlcnn::data::blobs::{generate, BlobsConfig};
 use mlcnn::nn::serialize::{load_params, save_params};
 use mlcnn::nn::spec::build_network;
@@ -83,12 +83,13 @@ fn saved_lenet_compiles_to_the_same_fused_network() {
     let mut restored = build_network(&specs, input, 1).unwrap();
     load_params(&mut restored, &blob).unwrap();
 
-    let fused_a = FusedNetwork::compile(&specs, &net.export_params(), input).unwrap();
-    let fused_b = FusedNetwork::compile(&specs, &restored.export_params(), input).unwrap();
+    let fused_a = net.eval_plan(PlanOptions::default()).unwrap();
+    let fused_b = restored.eval_plan(PlanOptions::default()).unwrap();
     let x = mlcnn::tensor::init::uniform(input, -1.0, 1.0, &mut mlcnn::tensor::init::rng(5));
+    let mut ws = Workspace::for_plan(&fused_a, 1);
     assert_eq!(
-        fused_a.forward(&x).unwrap(),
-        fused_b.forward(&x).unwrap(),
-        "fused pipelines diverge after save/load"
+        fused_a.forward(&x, &mut ws).unwrap(),
+        fused_b.forward(&x, &mut ws).unwrap(),
+        "fused plans diverge after save/load"
     );
 }
